@@ -87,7 +87,11 @@ const (
 	opRelease   = 4
 )
 
-// taskEnv adapts a task to the policy VM's execution environment.
+// taskEnv adapts a task to the policy VM's execution environment. One
+// lives in each task's hook frame, so the rand helper's stream is per
+// task (seeded from the task ID) and shared by every adapter firing on
+// that task; ad names the adapter of the fire in progress and is nil
+// between fires.
 type taskEnv struct {
 	t    *task.T
 	seed uint64
@@ -136,6 +140,52 @@ func (e *taskEnv) OCCSet(on uint64) uint64 {
 	return 0
 }
 
+// hookFrame is everything one hook fire needs besides the invoking
+// stack: the ctx words (sized for the largest layout, cmp_node), the
+// ctx header and the helper environment. A program called through an
+// indirect function value forces its ctx and env to the heap, so
+// instead of allocating them per fire each task keeps one frame in its
+// hook-frame slot (task.TakeHookFrame): a fire takes it, fills it and
+// puts it back. A fire that finds the slot empty — a nested fire on the
+// same task, or a nil task — allocates a fresh frame.
+type hookFrame struct {
+	words [32]uint64
+	ctx   policy.Ctx
+	env   taskEnv
+}
+
+// takeFrame returns t's hook frame set up for one fire of adapter a with
+// the given layout. The layout's words are zeroed: the fill code leaves
+// conditional fields (reader, *_preempted, a nil event task's fields)
+// unwritten and relies on them reading 0.
+func (a *adapter) takeFrame(t *task.T, layout *policy.CtxLayout) *hookFrame {
+	var f *hookFrame
+	if t != nil {
+		f, _ = t.TakeHookFrame().(*hookFrame)
+	}
+	if f == nil {
+		f = &hookFrame{env: taskEnv{t: t}}
+		if t != nil {
+			f.env.seed = uint64(t.ID())
+		}
+	}
+	w := f.words[:len(layout.Fields)]
+	clear(w)
+	f.ctx = policy.Ctx{Layout: layout, Words: w}
+	f.env.ad = a
+	return f
+}
+
+// release drops the frame's references to this fire (so an idle task
+// keeps no adapter alive) and returns it to its task.
+func (f *hookFrame) release() {
+	f.ctx = policy.Ctx{}
+	f.env.ad = nil
+	if f.env.t != nil {
+		f.env.t.PutHookFrame(f)
+	}
+}
+
 // adapter turns a set of verified programs into a locks.Hooks table.
 // One adapter backs one attach attempt; it owns fault bookkeeping.
 // faultFn fires at most once per adapter (the supervisor trip), so
@@ -159,13 +209,10 @@ type adapter struct {
 	// helper reports no change). Set at attach time when the lock has an
 	// optimistic read tier.
 	occSet atomic.Pointer[func(uint64) uint64]
-
-	envs sync.Map // *task.T -> *taskEnv
 }
 
 // setLockStats installs (or clears, with nil) the lock_stats_read
-// backing closure; existing cached task environments observe the swap
-// on their next helper call.
+// backing closure; hooks observe the swap on their next helper call.
 func (a *adapter) setLockStats(fn func(uint64) uint64) {
 	if fn == nil {
 		a.lockStats.Store(nil)
@@ -181,18 +228,6 @@ func (a *adapter) setOCCSet(fn func(uint64) uint64) {
 		return
 	}
 	a.occSet.Store(&fn)
-}
-
-func (a *adapter) envFor(t *task.T) *taskEnv {
-	if t == nil {
-		return &taskEnv{ad: a}
-	}
-	if e, ok := a.envs.Load(t); ok {
-		return e.(*taskEnv)
-	}
-	e := &taskEnv{t: t, seed: uint64(t.ID()), ad: a}
-	actual, _ := a.envs.LoadOrStore(t, e)
-	return actual.(*taskEnv)
 }
 
 // Faults reports how many policy executions faulted.
@@ -235,136 +270,134 @@ func taskFields(t *task.T) (id, cpu, socket, prio, weight, cs, held, speed, quot
 	return
 }
 
+// executor resolves the function a hook kind's closure calls, once per
+// hook-table build: the JIT closure when the program's tier — the
+// admission-time choice, or mode's override for ablation (force-VM
+// baseline, force-JIT) — is JIT, else the reference interpreter (§4.2's
+// "translated into native code"). Lowering happens here rather than at
+// LoadPolicy so the closure always matches the bytecode the interpreter
+// fallback would run, even if the program object changed since; a
+// program that no longer lowers falls back to the VM (which will fault
+// if it is corrupt).
+func executor(pol *Policy, k policy.Kind, p *policy.Program, mode TierMode) policy.CompiledFn {
+	useJIT := mode == TierForceJIT
+	if mode == TierAuto {
+		ch, ok := pol.Tiers[k]
+		useJIT = ok && ch.Tier == jit.TierJIT
+	}
+	if useJIT {
+		if fn, err := jit.Compile(p); err == nil {
+			return fn
+		}
+	}
+	return func(ctx *policy.Ctx, env policy.Env) (uint64, error) {
+		return policy.Exec(p, ctx, env)
+	}
+}
+
+// exec runs one program on frame f under the adapter's containment and
+// returns f to its task.
+func (a *adapter) exec(run policy.CompiledFn, f *hookFrame) (ret uint64, ok bool) {
+	defer func() {
+		// Containment: a panicking hook (injected or real) becomes a
+		// policy fault instead of unwinding into the lock algorithm.
+		if r := recover(); r != nil {
+			a.fault(fmt.Errorf("%w: %v", ErrHookPanic, r))
+			ret, ok = 0, false
+		}
+		f.release()
+	}()
+	if faultinject.CoreHookPanic.Enabled() {
+		if flt, fire := faultinject.CoreHookPanic.Fire(); fire {
+			panic(flt.Err)
+		}
+	}
+	var start time.Time
+	if a.latencyBudget > 0 {
+		start = time.Now()
+	}
+	// Injected hook latency lands inside the watchdog's measurement
+	// window — exactly how a slow policy would present.
+	if faultinject.PolicyLatency.Enabled() {
+		if flt, fire := faultinject.PolicyLatency.Fire(); fire && flt.Delay > 0 {
+			time.Sleep(flt.Delay)
+		}
+	}
+	ret, err := run(&f.ctx, &f.env)
+	if a.latencyBudget > 0 {
+		if el := time.Since(start); el > a.latencyBudget {
+			a.fault(fmt.Errorf("%w: hook ran %v (budget %v)",
+				ErrHookLatency, el, a.latencyBudget))
+		}
+	}
+	if err != nil {
+		a.fault(err)
+		return 0, false
+	}
+	return ret, true
+}
+
 // hooks builds the lock hook table executing the policy's programs on
-// the tier chosen for each at admission (§4.2's "translated into native
-// code"): JIT-tier programs dispatch straight into their fused closures,
-// VM-tier ones through the reference interpreter. mode overrides the
-// per-program choice for ablation (force-VM baseline, force-JIT).
+// the executor resolved for each kind; every fire runs on the invoking
+// task's hook frame.
 func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 	progs := pol.Programs
 	h := &locks.Hooks{Name: a.policyName}
 
-	compiled := make(map[*policy.Program]policy.CompiledFn, len(progs))
-	for k, p := range progs {
-		switch mode {
-		case TierForceVM:
-			// interpreter everywhere: leave the map empty
-		case TierForceJIT:
-			if fn, err := jit.Compile(p); err == nil {
-				compiled[p] = fn
-			}
-		default:
-			// Honour the admission-time decision but lower at hook-table
-			// build time: the closure must match the bytecode the
-			// interpreter fallback would run, even if the program object
-			// changed since LoadPolicy. A program that no longer lowers
-			// falls back to the VM (which will fault if it is corrupt).
-			if ch, ok := pol.Tiers[k]; ok && ch.Tier == jit.TierJIT {
-				if fn, err := jit.Compile(p); err == nil {
-					compiled[p] = fn
-				}
-			}
-		}
-	}
-	exec := func(p *policy.Program, ctx *policy.Ctx, t *task.T) (ret uint64, ok bool) {
-		// Containment: a panicking hook (injected or real) becomes a
-		// policy fault instead of unwinding into the lock algorithm.
-		defer func() {
-			if r := recover(); r != nil {
-				a.fault(fmt.Errorf("%w: %v", ErrHookPanic, r))
-				ret, ok = 0, false
-			}
-		}()
-		if faultinject.CoreHookPanic.Enabled() {
-			if flt, fire := faultinject.CoreHookPanic.Fire(); fire {
-				panic(flt.Err)
-			}
-		}
-		var start time.Time
-		if a.latencyBudget > 0 {
-			start = time.Now()
-		}
-		// Injected hook latency lands inside the watchdog's measurement
-		// window — exactly how a slow policy would present.
-		if faultinject.PolicyLatency.Enabled() {
-			if flt, fire := faultinject.PolicyLatency.Fire(); fire && flt.Delay > 0 {
-				time.Sleep(flt.Delay)
-			}
-		}
-		var err error
-		if fn := compiled[p]; fn != nil {
-			ret, err = fn(ctx, a.envFor(t))
-		} else {
-			ret, err = policy.Exec(p, ctx, a.envFor(t))
-		}
-		if a.latencyBudget > 0 {
-			if el := time.Since(start); el > a.latencyBudget {
-				a.fault(fmt.Errorf("%w: hook ran %v (budget %v)",
-					ErrHookLatency, el, a.latencyBudget))
-			}
-		}
-		if err != nil {
-			a.fault(err)
-			return 0, false
-		}
-		return ret, true
-	}
-
 	if p, ok := progs[policy.KindCmpNode]; ok {
+		run := executor(pol, policy.KindCmpNode, p, mode)
 		h.CmpNode = func(info *locks.ShuffleInfo) bool {
-			var words [32]uint64
-			ctx := policy.Ctx{Layout: cmpL, Words: words[:len(cmpL.Fields)]}
-			w := ctx.Words
+			s, c := info.Shuffler, info.Curr
+			f := a.takeFrame(s.Task, cmpL)
+			w := f.ctx.Words
 			w[cmpIdx.lockID] = info.LockID
 			w[cmpIdx.queueLen] = uint64(info.QueueLen)
 			w[cmpIdx.round] = uint64(info.Round)
 			w[cmpIdx.now] = uint64(info.NowNS)
 			w[cmpIdx.batch] = uint64(info.Batch)
-			s := info.Shuffler
 			w[cmpIdx.sTask], w[cmpIdx.sCPU], w[cmpIdx.sSocket], w[cmpIdx.sPrio],
 				w[cmpIdx.sWeight], w[cmpIdx.sCS], w[cmpIdx.sHeld], w[cmpIdx.sSpeed],
 				w[cmpIdx.sQuota], w[cmpIdx.sPreempted] = taskFields(s.Task)
 			w[cmpIdx.sWait] = uint64(s.WaitNS(info.NowNS))
-			c := info.Curr
 			w[cmpIdx.cTask], w[cmpIdx.cCPU], w[cmpIdx.cSocket], w[cmpIdx.cPrio],
 				w[cmpIdx.cWeight], w[cmpIdx.cCS], w[cmpIdx.cHeld], w[cmpIdx.cSpeed],
 				w[cmpIdx.cQuota], w[cmpIdx.cPreempted] = taskFields(c.Task)
 			w[cmpIdx.cWait] = uint64(c.WaitNS(info.NowNS))
-			ret, ok := exec(p, &ctx, s.Task)
+			ret, ok := a.exec(run, f)
 			return ok && ret != 0
 		}
 	}
 
 	if p, ok := progs[policy.KindSkipShuffle]; ok {
+		run := executor(pol, policy.KindSkipShuffle, p, mode)
 		h.SkipShuffle = func(info *locks.ShuffleInfo) bool {
-			var words [16]uint64
-			ctx := policy.Ctx{Layout: skipL, Words: words[:len(skipL.Fields)]}
-			w := ctx.Words
+			s := info.Shuffler
+			f := a.takeFrame(s.Task, skipL)
+			w := f.ctx.Words
 			w[skipIdx.lockID] = info.LockID
 			w[skipIdx.queueLen] = uint64(info.QueueLen)
 			w[skipIdx.round] = uint64(info.Round)
 			w[skipIdx.now] = uint64(info.NowNS)
 			w[skipIdx.batch] = uint64(info.Batch)
-			s := info.Shuffler
 			w[skipIdx.sTask] = uint64(s.Task.ID())
 			w[skipIdx.sCPU] = uint64(s.Task.CPU())
 			w[skipIdx.sSocket] = uint64(s.Task.Socket())
 			w[skipIdx.sPrio] = uint64(s.Task.Priority())
 			w[skipIdx.sWait] = uint64(s.WaitNS(info.NowNS))
-			ret, ok := exec(p, &ctx, s.Task)
+			ret, ok := a.exec(run, f)
 			return ok && ret != 0
 		}
 	}
 
 	if p, ok := progs[policy.KindScheduleWaiter]; ok {
+		run := executor(pol, policy.KindScheduleWaiter, p, mode)
 		h.ScheduleWaiter = func(info *locks.WaitInfo) int {
-			var words [16]uint64
-			ctx := policy.Ctx{Layout: schedL, Words: words[:len(schedL.Fields)]}
-			w := ctx.Words
+			c := info.Curr
+			f := a.takeFrame(c.Task, schedL)
+			w := f.ctx.Words
 			w[schedIdx.lockID] = info.LockID
 			w[schedIdx.queueLen] = uint64(info.QueueLen)
 			w[schedIdx.now] = uint64(info.NowNS)
-			c := info.Curr
 			w[schedIdx.cTask] = uint64(c.Task.ID())
 			w[schedIdx.cCPU] = uint64(c.Task.CPU())
 			w[schedIdx.cSocket] = uint64(c.Task.Socket())
@@ -377,7 +410,7 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 			w[schedIdx.ahead] = uint64(info.WaitersAhead)
 			w[schedIdx.holderCS] = uint64(info.HolderCSAvg)
 			w[schedIdx.spin] = uint64(info.SpinNS)
-			ret, ok := exec(p, &ctx, c.Task)
+			ret, ok := a.exec(run, f)
 			if !ok {
 				return locks.WaitDefault
 			}
@@ -392,12 +425,12 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 		}
 	}
 
-	profHook := func(p *policy.Program, op uint64) func(ev *locks.Event) {
-		layout := policy.LayoutFor(p.Kind)
+	profHook := func(k policy.Kind, op uint64) func(ev *locks.Event) {
+		run := executor(pol, k, progs[k], mode)
+		layout := policy.LayoutFor(k)
 		return func(ev *locks.Event) {
-			var words [16]uint64
-			ctx := policy.Ctx{Layout: layout, Words: words[:len(layout.Fields)]}
-			w := ctx.Words
+			f := a.takeFrame(ev.Task, layout)
+			w := f.ctx.Words
 			w[profIdx.lockID] = ev.LockID
 			w[profIdx.op] = op
 			if ev.Task != nil {
@@ -413,20 +446,20 @@ func (a *adapter) hooks(pol *Policy, mode TierMode) *locks.Hooks {
 			if ev.Reader {
 				w[profIdx.reader] = 1
 			}
-			exec(p, &ctx, ev.Task)
+			a.exec(run, f)
 		}
 	}
-	if p, ok := progs[policy.KindLockAcquire]; ok {
-		h.OnAcquire = profHook(p, opAcquire)
+	if _, ok := progs[policy.KindLockAcquire]; ok {
+		h.OnAcquire = profHook(policy.KindLockAcquire, opAcquire)
 	}
-	if p, ok := progs[policy.KindLockContended]; ok {
-		h.OnContended = profHook(p, opContended)
+	if _, ok := progs[policy.KindLockContended]; ok {
+		h.OnContended = profHook(policy.KindLockContended, opContended)
 	}
-	if p, ok := progs[policy.KindLockAcquired]; ok {
-		h.OnAcquired = profHook(p, opAcquired)
+	if _, ok := progs[policy.KindLockAcquired]; ok {
+		h.OnAcquired = profHook(policy.KindLockAcquired, opAcquired)
 	}
-	if p, ok := progs[policy.KindLockRelease]; ok {
-		h.OnRelease = profHook(p, opRelease)
+	if _, ok := progs[policy.KindLockRelease]; ok {
+		h.OnRelease = profHook(policy.KindLockRelease, opRelease)
 	}
 	return h
 }

@@ -317,7 +317,11 @@ func (fr *FlightRecorder) write(b *FlightBundle) {
 		return
 	}
 	fr.mu.Lock()
+	// Captures write concurrently and may finish out of order; keep
+	// files in sequence order (the zero-padded name) so pruning drops
+	// the oldest bundles, not the earliest-written ones.
 	fr.files = append(fr.files, final)
+	sort.Strings(fr.files)
 	var prune []string
 	if len(fr.files) > fr.max {
 		n := len(fr.files) - fr.max

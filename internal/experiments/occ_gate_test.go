@@ -46,9 +46,16 @@ func TestOCCReadHeavySpeedup(t *testing.T) {
 }
 
 // TestOCCReadHeavyZeroAllocs pins the other half of the contract: the
-// speculative read path allocates nothing in steady state.
+// speculative read path allocates nothing in steady state. The workload
+// warms every worker through a parked acquisition first, so pool misses
+// in the measured phase mean the warm-up fell short, and are reported
+// apart from allocations on the read path itself.
 func TestOCCReadHeavyZeroAllocs(t *testing.T) {
-	if r := runOCCReadHeavy(locks.OCCOn, true); r.AllocsPerOp != 0 {
+	r := runOCCReadHeavy(locks.OCCOn, true)
+	if r.PoolMisses != 0 {
+		t.Errorf("measured phase took %d queue-node pool misses, want 0 after warm-up", r.PoolMisses)
+	}
+	if r.AllocsPerOp != 0 {
 		t.Errorf("speculative read path allocates %.4f/op, want 0", r.AllocsPerOp)
 	}
 }

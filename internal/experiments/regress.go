@@ -313,7 +313,8 @@ func mapPlaneKinds(workers int) []struct {
 
 // contendedAllocsPerOp measures heap allocations per acquire/release
 // pair on a deliberately contended lock: workers with pre-created tasks
-// warm the lock (populating node pools and parker timers), rendezvous,
+// warm the lock (populating node pools and parker timers, first through
+// workloads.WarmParked so every task has parked once), rendezvous,
 // and then hammer it while the probe brackets the phase with
 // runtime.MemStats.Mallocs. Each holder yields inside its critical
 // section, so the other workers pile onto the slow path even on a
@@ -326,6 +327,7 @@ func contendedAllocsPerOp(mk func() locks.Lock, topo *topology.Topology, workers
 	for i := range tasks {
 		tasks[i] = task.New(topo)
 	}
+	workloads.WarmParked(l, topo, tasks)
 
 	var warm, measured, done sync.WaitGroup
 	start := make(chan struct{})

@@ -362,7 +362,9 @@ func TestHookSwapMidFlight(t *testing.T) {
 		p.Wait()
 		runtime.Gosched()
 	}
-	for a.Load() == 0 && b.Load() == 0 {
+	// a is the table left installed, so the workers fire it eventually;
+	// wait for that, the event asserted below.
+	for a.Load() == 0 {
 		runtime.Gosched()
 	}
 	close(stop)

@@ -22,14 +22,22 @@ const (
 // actually park is the per-acquisition mayPark flag, which also keeps
 // the injected handoff faults (inside park.Unpark) firing only for
 // park-capable waiters — the accounting the chaos suite checks.
+//
+// The node also carries its waiter's hook contexts. Hooks take them by
+// pointer through an indirect call, so a context built on the stack
+// would escape to the heap on every round; only the node's own task
+// fills and reads them (waitInfo while it waits, shuffleInfo while it
+// is the shuffler).
 type shflNode struct {
 	Waiter
-	status  atomic.Int32
-	mayPark atomic.Bool
-	next    atomic.Pointer[shflNode]
-	free    *shflNode
-	park    park.Parker
-	_       [24]byte
+	status      atomic.Int32
+	mayPark     atomic.Bool
+	next        atomic.Pointer[shflNode]
+	free        *shflNode
+	park        park.Parker
+	waitInfo    WaitInfo
+	shuffleInfo ShuffleInfo
+	_           [24]byte
 }
 
 func (n *shflNode) unpark() {
@@ -300,7 +308,8 @@ func (l *ShflLock) waitForHead(n *shflNode) {
 	for i := 0; n.status.Load() != shflHead; i++ {
 		decision := WaitDefault
 		if h, release := l.getHooks(); h != nil && h.ScheduleWaiter != nil {
-			info := WaitInfo{
+			info := &n.waitInfo
+			*info = WaitInfo{
 				LockID:   l.id,
 				NowNS:    l.now(),
 				QueueLen: int(l.qlen.Load()),
@@ -313,7 +322,7 @@ func (l *ShflLock) waitForHead(n *shflNode) {
 			if holder := l.holder.Load(); holder != nil {
 				info.HolderCSAvg = holder.CSAverage()
 			}
-			decision = h.ScheduleWaiter(&info)
+			decision = h.ScheduleWaiter(info)
 			release.Release()
 		} else {
 			release.Release()
@@ -370,14 +379,15 @@ func (l *ShflLock) shuffle(n *shflNode, round *int) {
 	l.statRounds.Add(1)
 
 	now := l.now()
-	info := ShuffleInfo{
+	info := &n.shuffleInfo
+	*info = ShuffleInfo{
 		LockID:   l.id,
 		NowNS:    now,
 		QueueLen: int(l.qlen.Load()),
 		Round:    *round,
 		Shuffler: &n.Waiter,
 	}
-	if h.SkipShuffle != nil && h.SkipShuffle(&info) {
+	if h.SkipShuffle != nil && h.SkipShuffle(info) {
 		l.statSkips.Add(1)
 		return
 	}
@@ -401,7 +411,7 @@ func (l *ShflLock) shuffle(n *shflNode, round *int) {
 		}
 		info.Curr = &curr.Waiter
 		info.Batch = batch
-		if h.CmpNode(&info) {
+		if h.CmpNode(info) {
 			// Moving curr overtakes every waiter we previously skipped.
 			// If any of them has already exhausted its bypass budget the
 			// round stops *before* the move — the starvation bound of
@@ -444,6 +454,9 @@ func (l *ShflLock) shuffle(n *shflNode, round *int) {
 			curr = next
 		}
 	}
+	// Drop the last examined waiter: a pooled node must not keep another
+	// task's node (and so that task) reachable.
+	info.Curr = nil
 
 	if l.checkInv {
 		if after := l.countFrom(n); after < before {

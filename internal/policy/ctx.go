@@ -193,8 +193,8 @@ func LayoutFor(k Kind) *CtxLayout {
 }
 
 // Ctx is a populated hook context: one uint64 per field of the layout.
-// The framework builds one per hook invocation (they are small and are
-// usually stack-allocated by the caller).
+// The framework fills one per hook invocation, in a frame each task
+// reuses across invocations.
 type Ctx struct {
 	Layout *CtxLayout
 	Words  []uint64

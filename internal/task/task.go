@@ -68,6 +68,13 @@ type T struct {
 	// acquiring/releasing path), so it needs no synchronisation.
 	hookScratch any
 
+	// hookFrame is a free-list of one for the policy adapter's per-fire
+	// context (ctx words, ctx header and helper environment), so a hook
+	// fire allocates nothing in steady state. Separate from hookScratch
+	// because a profiling hook's policy fires while the locks layer holds
+	// the scratch event. Owner-goroutine only, like hookScratch.
+	hookFrame any
+
 	// nodeCache holds per-class free lists of lock queue nodes, so a
 	// contended acquire reuses the node freed by a previous acquisition
 	// instead of heap-allocating (a kernel thread keeps its MCS node on
@@ -265,6 +272,19 @@ func (t *T) TakeScratch() any {
 // PutScratch stashes a value for the next TakeScratch on this task.
 // Owner-goroutine only.
 func (t *T) PutScratch(s any) { t.hookScratch = s }
+
+// TakeHookFrame removes and returns the task's hook frame (nil if absent
+// or already taken), with the same take-don't-borrow reentrancy rule as
+// TakeScratch. Owner-goroutine only.
+func (t *T) TakeHookFrame() any {
+	f := t.hookFrame
+	t.hookFrame = nil
+	return f
+}
+
+// PutHookFrame stashes a hook frame for the next TakeHookFrame on this
+// task. Owner-goroutine only.
+func (t *T) PutHookFrame(f any) { t.hookFrame = f }
 
 // CSAverage returns the task's mean critical-section length, or 0 if the
 // task has not completed one yet.

@@ -26,8 +26,13 @@ type Result struct {
 	Duration time.Duration
 	// AllocsPerOp is heap allocations per operation over the measured
 	// phase; only populated by workloads that opt into measuring it
-	// (RunMapPlane with MeasureAlloc), zero elsewhere.
+	// (RunMapPlane, RunOCCReadHeavy with MeasureAlloc), zero elsewhere.
 	AllocsPerOp float64
+	// PoolMisses is the number of lock queue-node pool misses
+	// (locks.QnodeAllocs) over the measured phase, populated alongside
+	// AllocsPerOp by RunOCCReadHeavy: it tells a warm-up that stopped
+	// short of steady state apart from an allocating read path.
+	PoolMisses int64
 }
 
 // OpsPerMSec returns throughput in operations per millisecond.

@@ -11,6 +11,10 @@ import (
 	"concord/internal/topology"
 )
 
+// occWarmBatches bounds RunOCCReadHeavy's warm-up batches before an
+// allocation measurement.
+const occWarmBatches = 4
+
 // OptRWLock is a readers-writer lock carrying the optimistic read tier
 // (locks.RWSem, locks.SwitchableRWLock).
 type OptRWLock interface {
@@ -32,8 +36,11 @@ type OCCReadHeavyConfig struct {
 	// 64): long enough that a torn snapshot is possible in principle,
 	// which is what sequence validation exists to reject.
 	Slots int
-	// MeasureAlloc brackets the measured phase with MemStats; the
-	// speculative read path must stay at 0 allocs/op.
+	// MeasureAlloc brackets the measured phase with MemStats and the
+	// queue-node pool-miss counter, after warming up to steady state
+	// (WarmParked, then up to occWarmBatches full-size batches until
+	// one allocates nothing); the speculative read path must stay at 0
+	// allocs/op.
 	MeasureAlloc bool
 }
 
@@ -68,14 +75,21 @@ func RunOCCReadHeavy(l OptRWLock, topo *topology.Topology, cfg OCCReadHeavyConfi
 	cfg.setDefaults()
 	shared := make([]atomic.Uint64, cfg.Slots)
 
-	res := Result{PerTask: make([]int64, cfg.Workers)}
-	var warm, measured sync.WaitGroup
-	start := make(chan struct{})
-	warm.Add(cfg.Workers)
-	measured.Add(cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		go func(w int) {
-			tk := task.New(topo)
+	tasks := make([]*task.T, cfg.Workers)
+	for w := range tasks {
+		tasks[w] = task.New(topo)
+	}
+	if cfg.MeasureAlloc {
+		WarmParked(l, topo, tasks)
+	}
+
+	// Workers run the op stream in batches handed out on kick, so
+	// warm-up and measurement are batches on the same goroutines.
+	kick := make([]chan int, cfg.Workers)
+	var busy sync.WaitGroup
+	for w := range kick {
+		kick[w] = make(chan int)
+		go func(tk *task.T, kick <-chan int) {
 			// The read closure is hoisted out of the op loop so the
 			// steady state allocates nothing per operation.
 			var sum uint64
@@ -86,54 +100,77 @@ func RunOCCReadHeavy(l OptRWLock, topo *topology.Topology, cfg OCCReadHeavyConfi
 				}
 			}
 			var sink uint64
-			op := func(i int) {
-				if i%cfg.WriterEvery == cfg.WriterEvery-1 {
-					l.Lock(tk)
-					for s := range shared {
-						shared[s].Add(1)
+			for n := range kick {
+				for i := 0; i < n; i++ {
+					if i%cfg.WriterEvery == cfg.WriterEvery-1 {
+						l.Lock(tk)
+						for s := range shared {
+							shared[s].Add(1)
+						}
+						l.Unlock(tk)
+					} else {
+						l.OptRead(tk, read)
+						sink += sum
 					}
-					l.Unlock(tk)
-				} else {
-					l.OptRead(tk, read)
-					sink += sum
+					if i&255 == 255 {
+						runtime.Gosched()
+					}
 				}
-			}
-			// Warmup settles parker timers and the promotion state
-			// before the clock starts.
-			for i := 0; i < cfg.WriterEvery; i++ {
-				op(i)
-			}
-			warm.Done()
-			<-start
-			for i := 0; i < cfg.OpsPerWorker; i++ {
-				op(i)
-				res.PerTask[w]++
-				if i&255 == 255 {
-					runtime.Gosched()
-				}
+				busy.Done()
 			}
 			_ = sink
-			measured.Done()
-		}(w)
+		}(tasks[w], kick[w])
 	}
-	warm.Wait()
+	defer func() {
+		for _, ch := range kick {
+			close(ch)
+		}
+	}()
+	// batch runs n ops on every worker and returns the wall time and
+	// the heap allocations (when measured).
+	batch := func(n int) (time.Duration, uint64) {
+		var before, after runtime.MemStats
+		if cfg.MeasureAlloc {
+			runtime.ReadMemStats(&before)
+		}
+		t0 := time.Now()
+		busy.Add(len(kick))
+		for _, ch := range kick {
+			ch <- n
+		}
+		busy.Wait()
+		el := time.Since(t0)
+		if cfg.MeasureAlloc {
+			runtime.ReadMemStats(&after)
+		}
+		return el, after.Mallocs - before.Mallocs
+	}
 
-	var before, after runtime.MemStats
+	// Warmup settles parker timers and the promotion state before the
+	// clock starts. An allocation measurement warms up to steady state:
+	// parks still grow the runtime's scheduler and timer structures the
+	// first few times they reach a new peak, so full-size warm-up
+	// batches repeat until one runs allocation-free.
+	batch(cfg.WriterEvery)
 	if cfg.MeasureAlloc {
-		runtime.ReadMemStats(&before)
+		for range occWarmBatches {
+			if _, mallocs := batch(cfg.OpsPerWorker); mallocs == 0 {
+				break
+			}
+		}
 	}
-	t0 := time.Now()
-	close(start)
-	measured.Wait()
-	res.Duration = time.Since(t0)
+
+	res := Result{PerTask: make([]int64, cfg.Workers)}
+	missesBefore := locks.QnodeAllocs()
+	el, mallocs := batch(cfg.OpsPerWorker)
+	res.Duration = el
+	for w := range res.PerTask {
+		res.PerTask[w] = int64(cfg.OpsPerWorker)
+		res.Ops += int64(cfg.OpsPerWorker)
+	}
 	if cfg.MeasureAlloc {
-		runtime.ReadMemStats(&after)
-	}
-	for _, v := range res.PerTask {
-		res.Ops += v
-	}
-	if cfg.MeasureAlloc && res.Ops > 0 {
-		res.AllocsPerOp = float64(after.Mallocs-before.Mallocs) / float64(res.Ops)
+		res.PoolMisses = locks.QnodeAllocs() - missesBefore
+		res.AllocsPerOp = float64(mallocs) / float64(res.Ops)
 	}
 	return res
 }
